@@ -38,6 +38,14 @@
 //! instead catches up by snapshot installation inherits the live lease
 //! table and lifts the fence.
 //!
+//! **What a miss costs.** Because a grant is never made durable, a miss
+//! costs one group round (order the `GrantRead`, apply it), not a flush:
+//! the sealed batch of grants reports itself volatile, so even on the
+//! pipelined commit path it skips the flusher's anticipatory gather and
+//! is published as soon as every batch ordered before it has retired.
+//! A grant ordered behind an unflushed write still waits for that
+//! write's flush — publication stays in order.
+//!
 //! ## Renewal
 //!
 //! Renewal is lazy: a lookup that finds its entry inside the renewal

@@ -812,7 +812,12 @@ impl StateMachine for DirectoryStateMachine {
         }
     }
 
-    fn seal_batch(&self, _ctx: &Ctx, token: u64) {
+    /// A batch is volatile — nothing for its flush to make durable — when
+    /// it sealed no acts: only `GrantRead`s, only ops that failed at
+    /// apply, or any NVRAM batch (its log appends in `apply` were the
+    /// commit). The same test `flush_batch` and `journal_commit` use to
+    /// return early.
+    fn seal_batch(&self, _ctx: &Ctx, token: u64) -> bool {
         let applier = &self.applier;
         if applier.storage == StorageKind::Nvram {
             // The log appends in `apply` already committed the batch;
@@ -823,7 +828,7 @@ impl StateMachine for DirectoryStateMachine {
                 commit_seqno: 0,
                 need_commit: false,
             });
-            return;
+            return false;
         }
         let effects = std::mem::take(&mut *self.pending.lock());
         // `frees` (pre-batch file of a deleted-then-recreated object) is
@@ -831,8 +836,10 @@ impl StateMachine for DirectoryStateMachine {
         // file when it stores the recreation, which *is* that pre-batch
         // file — carrying the list too would free it twice.
         let (acts, _frees, need_commit) = Self::coalesce(effects);
+        let durable = !acts.is_empty();
         let batch = self.seal_acts(token, acts, need_commit);
         self.staged.lock().push_back(batch);
+        durable
     }
 
     fn flush_staged(&self, ctx: &Ctx, token: u64) {

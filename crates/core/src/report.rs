@@ -133,8 +133,9 @@ impl ClusterReport {
             ));
             if let Some(r) = &m.replica {
                 s.push_str(&format!(
-                    ", \"submitted\": {}, \"applied\": {}, \"batches\": {}, \"recoveries\": {}",
-                    r.submitted, r.applied, r.batches, r.recoveries
+                    ", \"submitted\": {}, \"applied\": {}, \"batches\": {}, \
+                     \"volatile_batches\": {}, \"recoveries\": {}",
+                    r.submitted, r.applied, r.batches, r.volatile_batches, r.recoveries
                 ));
             }
             if let Some(g) = &m.group {
@@ -225,6 +226,7 @@ mod tests {
                     window_stalls: 0,
                     flush_inflight_hwm: 1,
                     flush_runs: 1,
+                    volatile_batches: 0,
                     gather_ewma_us: 0,
                 }),
                 group: None,

@@ -63,7 +63,11 @@
 //!    [`StateMachine::flush_staged_run`] (after a short anticipatory
 //!    gather, [`RsmConfig::flush_gather`]) so the machine can merge
 //!    their disk work — publishing still happens per batch, in order,
-//!    only after the run that covers it returned.
+//!    only after the run that covers it returned. A batch whose
+//!    `seal_batch` reported nothing to make durable (a *volatile*
+//!    batch) skips only the gather when it heads a run; it never skips
+//!    the in-order retirement, so it is published no earlier than
+//!    every batch sealed before it.
 //! 3. **Batch atomicity.** A state machine whose flush cannot make a
 //!    multi-operation batch durable atomically must guard it (the
 //!    directory service marks its commit block so a crash mid-flush

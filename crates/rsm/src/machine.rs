@@ -82,10 +82,22 @@ pub trait StateMachine: Send + Sync + 'static {
     /// [`flush_window`](crate::RsmConfig::flush_window) > 1. The machine
     /// must capture everything the batch's durable flush needs — its
     /// effect set, sealed against later applies — under `token`, without
-    /// touching the disk. Default: no-op (a fully volatile machine has
-    /// nothing to stage).
-    fn seal_batch(&self, ctx: &Ctx, token: u64) {
+    /// touching the disk.
+    ///
+    /// Returns whether the sealed batch carries durable work. `false`
+    /// marks it *volatile*: its staged flush will write nothing (say, a
+    /// batch of lease grants, or of ops that all failed at apply), so
+    /// when it heads a flusher run the driver skips the anticipatory
+    /// gather, which exists only to merge disk work. It is a scheduling
+    /// hint, never a durability decision: a volatile batch is still
+    /// retired through [`flush_staged`](Self::flush_staged) in token
+    /// order and published only after every batch sealed before it.
+    /// `true` is therefore the safe default — a machine that cannot tell
+    /// pays at most the gather's latency. Default: stages nothing and
+    /// returns `true`.
+    fn seal_batch(&self, ctx: &Ctx, token: u64) -> bool {
         let _ = (ctx, token);
+        true
     }
 
     /// Pipelined-commit stage two: called by the dedicated flusher

@@ -41,7 +41,8 @@ pub struct ReplicaStats {
     pub submitted: u64,
     /// Operations this replica applied to its state machine.
     pub applied: u64,
-    /// Apply batches (one durable flush each).
+    /// Apply batches retired, durable or volatile: one `flush` each on
+    /// the serial loop, one sealed token each when pipelined.
     pub batches: u64,
     /// Initiator waits aborted by a group collapse.
     pub aborted: u64,
@@ -53,10 +54,17 @@ pub struct ReplicaStats {
     /// Pipelined mode: high-water mark of in-flight (sealed, not yet
     /// retired) flushes. Stays 0 with `flush_window` = 1.
     pub flush_inflight_hwm: u64,
-    /// Pipelined mode: flusher disk conversations. `batches -
-    /// flush_runs` is how many sealed batches the queued-submission
-    /// merge absorbed. Stays 0 with `flush_window` = 1.
+    /// Pipelined mode: flusher runs, each one
+    /// [`flush_staged_run`](crate::StateMachine::flush_staged_run) call
+    /// over the sealed batches queued at the time — a disk conversation
+    /// only if one of them is durable. `batches - flush_runs` is how
+    /// many sealed batches the queued-submission merge absorbed. Stays 0
+    /// with `flush_window` = 1.
     pub flush_runs: u64,
+    /// Pipelined mode: batches retired with nothing to make durable
+    /// ([`seal_batch`](crate::StateMachine::seal_batch) returned
+    /// `false`). Stays 0 with `flush_window` = 1.
+    pub volatile_batches: u64,
     /// EWMA of inter-submit gaps in microseconds, tracked when
     /// [`adaptive_gather`](crate::RsmConfig::adaptive_gather) is on
     /// (stays 0 otherwise): the flusher's effective anticipatory gather
@@ -71,6 +79,8 @@ struct FlushJob {
     token: u64,
     /// Highest sequence number the batch applied.
     last_seq: SeqNo,
+    /// What [`StateMachine::seal_batch`] said: the batch has disk work.
+    durable: bool,
     /// Apply replies, published when the flush retires.
     results: Vec<(SeqNo, Payload)>,
     /// Ordering-span context of the batch's first applied message; the
@@ -661,10 +671,11 @@ impl<S: StateMachine> Replica<S> {
                         self.shared.lock().stats.window_stalls += 1;
                     }
                     token += 1;
-                    self.sm.seal_batch(ctx, token);
+                    let durable = self.sm.seal_batch(ctx, token);
                     job_tx.send(FlushJob {
                         token,
                         last_seq: last,
+                        durable,
                         results,
                         trace: first_trace,
                     });
@@ -757,7 +768,11 @@ fn flusher_loop<S: StateMachine>(
         // that land in the same region. The event loop's window bound
         // caps how many can be queued, so a run is at most the window.
         let mut jobs = vec![job_rx.recv(ctx)];
-        let gather = if adaptive {
+        let gather = if !jobs[0].durable {
+            // Nothing of the head batch waits on the disk: waiting to
+            // merge disk work would only delay its publication.
+            Duration::ZERO
+        } else if adaptive {
             // Wait twice the observed inter-submit gap (clamped to
             // [0.5 ms, base]): long enough that the burst released by
             // the previous flush lands in this run, no longer.
@@ -793,6 +808,7 @@ fn flusher_loop<S: StateMachine>(
             for job in &jobs {
                 sh.stats.applied += job.results.len() as u64;
                 sh.stats.batches += 1;
+                sh.stats.volatile_batches += u64::from(!job.durable);
                 sh.published_seq = sh.published_seq.max(job.last_seq);
             }
             for job in &mut jobs {

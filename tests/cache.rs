@@ -1,7 +1,9 @@
 //! The lease-fenced client-side directory cache: local hits and their
 //! counters, the revoke-before-ack write fence under an invalidation
-//! storm, cache-off behavioral equivalence, writes surviving a crashed
-//! lease holder, and session monotonicity under replica faults.
+//! storm (on the paper's serial commit and on the pipelined, journaled
+//! one), the cost of a cold miss at either flush window, cache-off
+//! behavioral equivalence, writes surviving a crashed lease holder, and
+//! session monotonicity under replica faults.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -25,7 +27,6 @@ fn ready_root(ctx: &Ctx, client: &DirClient, columns: &[&str]) -> Capability {
 
 /// A formed cluster with the client cache enabled on every machine.
 fn cached_cluster(shards: usize, seed: u64) -> (Simulation, Cluster, DirClient, Capability) {
-    let mut sim = Simulation::new(seed);
     let mut params = if shards > 1 {
         ClusterParams::sharded(Variant::Group, shards)
     } else {
@@ -33,6 +34,25 @@ fn cached_cluster(shards: usize, seed: u64) -> (Simulation, Cluster, DirClient, 
     };
     params.seed = seed;
     params.dir_cache = Some(CacheParams::default());
+    formed_cluster(params)
+}
+
+/// The pipelined, journaled deployment the cache serves in production:
+/// group log on, flush window 4, head-aware disk, client cache on.
+fn pipelined_cached_params(shards: usize, seed: u64) -> ClusterParams {
+    let mut params = ClusterParams::paper(Variant::Group);
+    params.seed = seed;
+    params.shards = shards;
+    params.dir.journal = true;
+    params.dir.flush_window = 4;
+    params.disk.head_aware = true;
+    params.dir_cache = Some(CacheParams::default());
+    params
+}
+
+/// Starts `params` and waits until a root directory could be created.
+fn formed_cluster(params: ClusterParams) -> (Simulation, Cluster, DirClient, Capability) {
+    let mut sim = Simulation::new(params.seed);
     let mut cluster = Cluster::start(&sim, params);
     let (client, _) = cluster.client(&sim);
     let c2 = client.clone();
@@ -135,11 +155,20 @@ fn cache_off_and_cache_on_give_identical_outcomes() {
 
 #[test]
 fn write_burst_revokes_every_outstanding_lease_before_ack() {
-    // The invalidation storm: N readers all hold a live lease on one
-    // directory; a write lands. The ack must imply every lease was
-    // revoked — each reader's *very next* lookup, issued the instant it
-    // observes the ack, sees the new row instead of its dead snapshot.
-    let (mut sim, mut cluster, writer, root) = cached_cluster(2, 505);
+    write_burst_revokes_leases(cached_cluster(2, 505));
+}
+
+#[test]
+fn write_burst_revokes_every_outstanding_lease_before_ack_when_pipelined() {
+    write_burst_revokes_leases(formed_cluster(pipelined_cached_params(2, 505)));
+}
+
+/// The invalidation storm: N readers all hold a live lease on one
+/// directory; a write lands. The ack must imply every lease was revoked
+/// — each reader's *very next* lookup, issued the instant it observes
+/// the ack, sees the new row instead of its dead snapshot.
+fn write_burst_revokes_leases(formed: (Simulation, Cluster, DirClient, Capability)) {
+    let (mut sim, mut cluster, writer, root) = formed;
     const N: usize = 6;
     let acked = Arc::new(AtomicU64::new(0));
     let mut outs = Vec::new();
@@ -185,6 +214,41 @@ fn write_burst_revokes_every_outstanding_lease_before_ack() {
             "reader {i}'s lease must have been revoked by callback, stats: {s:?}"
         );
     }
+}
+
+/// A lease grant is ordered through the group but never made durable,
+/// so on an idle service a cold miss costs one group round whatever the
+/// flush window: the pipelined path must not hold the grant for the
+/// flusher's anticipatory gather, which only merges disk work.
+#[test]
+fn idle_cold_miss_costs_the_same_at_window_4_as_at_window_1() {
+    fn cold_miss(flush_window: usize) -> Duration {
+        let mut params = pipelined_cached_params(1, 11);
+        params.dir.flush_window = flush_window;
+        let (mut sim, mut cluster, writer, root) = formed_cluster(params);
+        let (reader, _) = cluster.client(&sim);
+        let out = sim.spawn("cold-miss", move |ctx| {
+            writer
+                .append_row(ctx, root, "x", root, vec![Rights::ALL])
+                .unwrap();
+            // Idle: the append's flush and a checkpoint have long retired.
+            ctx.sleep(Duration::from_secs(2));
+            let t0 = ctx.now();
+            assert!(reader.lookup(ctx, root, "x").unwrap().is_some());
+            let cost = ctx.now() - t0;
+            let s = reader.cache_stats().expect("cache is on");
+            assert_eq!((s.misses, s.hits), (1, 0), "the lookup must be a cold miss");
+            cost
+        });
+        sim.run_for(Duration::from_secs(30));
+        out.take().expect("cold-miss run finished")
+    }
+    let serial = cold_miss(1);
+    let pipelined = cold_miss(4);
+    assert!(
+        pipelined.abs_diff(serial) <= Duration::from_millis(1),
+        "cold miss: {pipelined:?} at window 4 vs {serial:?} at window 1"
+    );
 }
 
 #[test]

@@ -2,7 +2,9 @@
 //! run against *both* production machines (the directory service and
 //! the lock/registry service), plus crash tests proving the
 //! group-commit batching invariants: a batch becomes durable through
-//! one flush, and recovery never observes a partially applied batch.
+//! one flush, and recovery never observes a partially applied batch —
+//! and, on the real pipelined driver, that a volatile (lease-grant)
+//! batch is published only behind the durable batches sealed before it.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -10,14 +12,15 @@ use std::time::Duration;
 use amoeba_dirsvc::bullet::{start_bullet_server, BulletClient, BulletStore};
 use amoeba_dirsvc::dir::cluster::{Cluster, ClusterParams, Variant};
 use amoeba_dirsvc::dir::{
-    Capability, DirOp, DirParams, DirectoryStateMachine, LockRequest, LockStateMachine, Rights,
-    ServiceConfig,
+    Capability, DirOp, DirParams, DirReply, DirectoryStateMachine, LockRequest, LockStateMachine,
+    Rights, ServiceConfig,
 };
 use amoeba_dirsvc::disk::{DiskParams, DiskServer, Journal, RawPartition, VDisk};
-use amoeba_dirsvc::flip::{NetParams, Network, Payload};
+use amoeba_dirsvc::flip::{NetParams, Network, NodeStack, Payload};
+use amoeba_dirsvc::group::{GroupConfig, GroupPeer, SeqNo};
 use amoeba_dirsvc::rpc::{RpcClient, RpcNode};
-use amoeba_dirsvc::rsm::StateMachine;
-use amoeba_dirsvc::sim::{Ctx, NodeId, Resource, Simulation};
+use amoeba_dirsvc::rsm::{RecoveryInfo, Replica, ReplicaDeps, RsmConfig, RsmError, StateMachine};
+use amoeba_dirsvc::sim::{Ctx, NodeId, Resource, SimTime, Simulation};
 use std::sync::Mutex;
 
 // ---------------------------------------------------------------------
@@ -90,6 +93,8 @@ struct DirColumn {
     sm: Arc<DirectoryStateMachine>,
     node: NodeId,
     vdisk: VDisk,
+    stack: NodeStack,
+    rpc: RpcNode,
 }
 
 const TABLE_BLOCKS: u64 = 16;
@@ -104,7 +109,7 @@ fn dir_column(
     let cfg = ServiceConfig::new(3, idx);
     let node = sim.add_node(&format!("col-{idx}"));
     let stack = net.attach();
-    let rpc = RpcNode::start(sim, node, stack);
+    let rpc = RpcNode::start(sim, node, stack.clone());
     let vdisk = VDisk::new(2048, 4096);
     let disk = DiskServer::start(sim, node, vdisk.clone(), disk_params);
     let partition = RawPartition::new(disk.clone(), 0, TABLE_BLOCKS);
@@ -127,6 +132,8 @@ fn dir_column(
         )),
         node,
         vdisk,
+        stack,
+        rpc,
     }
 }
 
@@ -924,7 +931,8 @@ fn dir_column_journaled(
 ) -> DirColumn {
     let cfg = ServiceConfig::new(3, idx);
     let node = sim.add_node(&format!("jcol-{idx}"));
-    let rpc = RpcNode::start(sim, node, net.attach());
+    let stack = net.attach();
+    let rpc = RpcNode::start(sim, node, stack.clone());
     let vdisk = VDisk::new(2048, 4096);
     let disk = DiskServer::start(sim, node, vdisk.clone(), disk_params);
     let partition = RawPartition::new(disk.clone(), 0, TABLE_BLOCKS);
@@ -950,6 +958,8 @@ fn dir_column_journaled(
         )),
         node,
         vdisk,
+        stack,
+        rpc,
     }
 }
 
@@ -1234,4 +1244,352 @@ fn full_journal_backpressure_keeps_commits_durable() {
     let (seq, (_rcur, rsnap)) = rebooted.take().expect("reboot finished");
     assert_eq!(seq, cur, "no acked commit may be lost to backpressure");
     assert_eq!(rsnap, snap, "rebooted state must match the acked state");
+}
+
+// ---------------------------------------------------------------------
+// Volatile batches: lease grants on the pipelined commit path.
+// ---------------------------------------------------------------------
+
+/// A lease grant on directory 1 (created with check `0xC1 | 1`), as the
+/// cache's fetch path orders it.
+fn grant_read(now_us: u64) -> Payload {
+    DirOp::GrantRead {
+        cap: Capability::owner(ServiceConfig::new(3, 0).public_port, 1, 0xC1 | 1),
+        owner: 42,
+        cb_port: 0,
+        now_us,
+        deadline_us: now_us + 400_000,
+    }
+    .encode()
+}
+
+/// `seal_batch` tells the driver which batches have disk work: a batch
+/// of lease grants, or of ops that all failed at apply, is volatile; a
+/// write batch is durable; and the trait's default stays durable, so a
+/// machine that does not say keeps the gather.
+#[test]
+fn seal_batch_reports_grant_only_batches_volatile_and_writes_durable() {
+    let mut sim = Simulation::new(0x5EA1);
+    let net = Network::new(sim.handle(), NetParams::lan_10mbps(), 0x5EA1);
+    let params = DirParams {
+        flush_window: 4,
+        ..DirParams::default()
+    };
+    let col = dir_column(&sim, &net, 0, DiskParams::instant(), params);
+    let sm = Arc::clone(&col.sm);
+    let out = sim.spawn("seal-volatility", move |ctx| {
+        sm.boot(ctx);
+        let mut seq = 0u64;
+        let mut seal = |ops: &[Payload], token: u64| {
+            for op in ops {
+                seq += 1;
+                let _ = sm.apply(ctx, seq, op);
+            }
+            sm.seal_batch(ctx, token)
+        };
+        let create = dir_ops_batch1()[0].clone();
+        let ghost = dir_ops_batch1()[6].clone(); // fails at apply
+        let now_us = ctx.now().as_nanos() / 1_000;
+        let verdicts = [
+            seal(std::slice::from_ref(&create), 0),
+            seal(&[grant_read(now_us), grant_read(now_us)], 1),
+            seal(&[ghost], 2),
+            seal(&[grant_read(now_us), create], 3),
+        ];
+        sm.flush_staged_run(ctx, 0, 3);
+        verdicts
+    });
+    sim.run_for(Duration::from_secs(30));
+    assert_eq!(
+        out.take(),
+        Some([true, false, false, true]),
+        "write / grants / failed op / grant+write"
+    );
+    let mut sim = Simulation::new(7);
+    let lock = LockStateMachine::new(3);
+    let out = sim.spawn("lock-default", move |ctx| lock.seal_batch(ctx, 0));
+    sim.run();
+    assert_eq!(out.take(), Some(true), "the default seal is durable");
+}
+
+/// How long a [`HeldDisk`] keeps every durable staged run before it
+/// reaches the disk: long enough for a later batch to be sealed while
+/// the run is still in flight.
+const DISK_HOLD: Duration = Duration::from_millis(50);
+
+/// A directory machine behind the real driver, instrumented: it records
+/// what each seal reported and when each staged run retired, and holds
+/// durable runs for [`DISK_HOLD`] before handing them to the disk.
+struct HeldDisk {
+    inner: Arc<DirectoryStateMachine>,
+    /// `(token, durable)` per `seal_batch`.
+    seals: Mutex<Vec<(u64, bool)>>,
+    /// `(first, last, retired at)` per `flush_staged_run`.
+    runs: Mutex<Vec<(u64, u64, SimTime)>>,
+}
+
+impl StateMachine for HeldDisk {
+    fn apply(&self, ctx: &Ctx, seq: SeqNo, op: &Payload) -> Payload {
+        self.inner.apply(ctx, seq, op)
+    }
+    fn flush(&self, ctx: &Ctx) {
+        self.inner.flush(ctx);
+    }
+    fn seal_batch(&self, ctx: &Ctx, token: u64) -> bool {
+        let durable = self.inner.seal_batch(ctx, token);
+        self.seals.lock().unwrap().push((token, durable));
+        durable
+    }
+    fn flush_staged(&self, ctx: &Ctx, token: u64) {
+        self.flush_staged_run(ctx, token, token);
+    }
+    fn flush_staged_run(&self, ctx: &Ctx, first: u64, last: u64) {
+        let durable = self
+            .seals
+            .lock()
+            .unwrap()
+            .iter()
+            .any(|&(t, d)| d && (first..=last).contains(&t));
+        if durable {
+            ctx.sleep(DISK_HOLD);
+        }
+        self.inner.flush_staged_run(ctx, first, last);
+        self.runs.lock().unwrap().push((first, last, ctx.now()));
+    }
+    fn idle(&self, ctx: &Ctx) {
+        self.inner.idle(ctx);
+    }
+    fn boot(&self, ctx: &Ctx) {
+        self.inner.boot(ctx);
+    }
+    fn recovery_info(&self) -> RecoveryInfo {
+        self.inner.recovery_info()
+    }
+    fn begin_copy(&self, ctx: &Ctx) {
+        self.inner.begin_copy(ctx);
+    }
+    fn snapshot(&self, ctx: &Ctx) -> (SeqNo, Payload) {
+        self.inner.snapshot(ctx)
+    }
+    fn install(&self, ctx: &Ctx, cursor: SeqNo, snap: &Payload) -> bool {
+        self.inner.install(ctx, cursor, snap)
+    }
+    fn align_cursor(&self, ctx: &Ctx, cursor: SeqNo) {
+        self.inner.align_cursor(ctx, cursor);
+    }
+    fn enter_service(&self, ctx: &Ctx, config: &[bool]) {
+        self.inner.enter_service(ctx, config);
+    }
+    fn on_membership(&self, ctx: &Ctx, seq: SeqNo, config: &[bool]) {
+        self.inner.on_membership(ctx, seq, config);
+    }
+}
+
+/// When the grant is submitted, after the write: past the write's
+/// ordering and 8 ms gather, inside its [`DISK_HOLD`].
+const GRANT_DELAY: Duration = Duration::from_millis(20);
+
+/// What one [`write_then_grant`] run observed at replica 0.
+struct WriteThenGrant {
+    /// Replica 0's `update_seq` once directory 1 was created and flushed.
+    base_seq: u64,
+    /// When the write and the grant were acknowledged, if they were.
+    write_acked: Option<SimTime>,
+    grant_acked: Option<SimTime>,
+    /// Replica 0's seals and retired runs (see [`HeldDisk`]).
+    seals: Vec<(u64, bool)>,
+    runs: Vec<(u64, u64, SimTime)>,
+    column: DirColumn,
+}
+
+/// Three directory replicas on the real pipelined driver (window 4,
+/// fixed 8 ms gather), each over a [`HeldDisk`]. Directory 1 is created
+/// and flushed; then replica 0 submits a write on it and, [`GRANT_DELAY`]
+/// later — while the write's flush is held — a lease grant on it. With
+/// `crash_after`, replica 0's machine crashes that long after the write
+/// was submitted.
+fn write_then_grant(
+    seed: u64,
+    crash_after: Option<Duration>,
+) -> (Simulation, Network, WriteThenGrant) {
+    let mut sim = Simulation::new(seed);
+    let net = Network::new(sim.handle(), NetParams::lan_10mbps(), seed);
+    let params = DirParams {
+        flush_window: 4,
+        ..DirParams::default()
+    };
+    let mut replicas = Vec::new();
+    let mut columns = Vec::new();
+    for i in 0..3 {
+        let col = dir_column(&sim, &net, i, DiskParams::instant(), params.clone());
+        let peer = GroupPeer::start(
+            &sim,
+            col.node,
+            col.stack.clone(),
+            GroupConfig::with_resilience(2),
+        );
+        let mut cfg = RsmConfig::new(&ServiceConfig::new(3, i).service, 3, i);
+        cfg.flush_window = 4;
+        let sm = Arc::new(HeldDisk {
+            inner: Arc::clone(&col.sm),
+            seals: Mutex::new(Vec::new()),
+            runs: Mutex::new(Vec::new()),
+        });
+        replicas.push(Replica::start(
+            &sim,
+            ReplicaDeps {
+                cfg,
+                sim_node: col.node,
+                rpc: col.rpc.clone(),
+                peer,
+                sm,
+            },
+        ));
+        columns.push(col);
+    }
+    let node0 = columns[0].node;
+    let r0 = replicas[0].clone();
+    let create = dir_ops_batch1()[0].clone();
+    let base = sim.spawn_on(node0, "create", move |ctx| loop {
+        match r0.submit(ctx, create.clone()) {
+            Ok(_) => return r0.machine().inner.update_seq(),
+            Err(RsmError::NotInService) => ctx.sleep(Duration::from_millis(100)),
+            Err(e) => panic!("create failed: {e}"),
+        }
+    });
+    sim.run_for(Duration::from_secs(20));
+    let base_seq = base
+        .take()
+        .expect("the group formed and created directory 1");
+
+    let acks: Arc<Mutex<[Option<SimTime>; 2]>> = Arc::default();
+    let (r0, acked) = (replicas[0].clone(), Arc::clone(&acks));
+    sim.spawn_on(node0, "write", move |ctx| {
+        let write = dir_ops_batch1()[1].clone();
+        r0.submit(ctx, write).expect("write acknowledged");
+        acked.lock().unwrap()[0] = Some(ctx.now());
+    });
+    let (r0, acked) = (replicas[0].clone(), Arc::clone(&acks));
+    sim.spawn_on(node0, "grant", move |ctx| {
+        ctx.sleep(GRANT_DELAY);
+        let now_us = ctx.now().as_nanos() / 1_000;
+        let reply = r0
+            .submit(ctx, grant_read(now_us))
+            .expect("grant acknowledged");
+        assert!(
+            matches!(DirReply::decode(&reply), Ok(DirReply::Snapshot { .. })),
+            "the grant must answer with a leased snapshot"
+        );
+        acked.lock().unwrap()[1] = Some(ctx.now());
+    });
+    if let Some(after) = crash_after {
+        sim.spawn("crash", move |ctx| {
+            ctx.sleep(after);
+            ctx.crash_node(node0);
+        });
+    }
+    sim.run_for(Duration::from_secs(2));
+    let [write_acked, grant_acked] = *acks.lock().unwrap();
+    let held = replicas[0].machine();
+    let outcome = WriteThenGrant {
+        base_seq,
+        write_acked,
+        grant_acked,
+        seals: held.seals.lock().unwrap().clone(),
+        runs: held.runs.lock().unwrap().clone(),
+        column: columns.swap_remove(0),
+    };
+    (sim, net, outcome)
+}
+
+/// A volatile grant sealed behind a durable write on the same directory
+/// is published only once the write's flush retires — in order — and
+/// then at once: its run skips the anticipatory gather.
+#[test]
+fn volatile_grant_behind_unflushed_write_is_published_only_after_its_flush() {
+    let (_sim, _net, out) = write_then_grant(0x6A1E, None);
+    let write_acked = out.write_acked.expect("write acknowledged");
+    let grant_acked = out.grant_acked.expect("grant acknowledged");
+    // The create, then the write, then the grant, each its own batch.
+    let tail = &out.seals[out.seals.len() - 2..];
+    let [(write_token, true), (grant_token, false)] = *tail else {
+        panic!(
+            "want [durable write, volatile grant], sealed: {:?}",
+            out.seals
+        );
+    };
+    let run_of = |token: u64| {
+        out.runs
+            .iter()
+            .position(|&(first, last, _)| (first..=last).contains(&token))
+            .expect("every sealed token retires")
+    };
+    let (write_run, grant_run) = (run_of(write_token), run_of(grant_token));
+    assert!(
+        grant_run > write_run,
+        "the grant must be sealed while the write's flush is held: runs {:?}",
+        out.runs
+    );
+    let write_retired = out.runs[write_run].2;
+    assert!(
+        grant_acked >= write_retired && grant_acked >= write_acked,
+        "grant published at {grant_acked:?}, before the write's flush retired at \
+         {write_retired:?}"
+    );
+    assert!(
+        grant_acked - write_retired < RsmConfig::new("s", 3, 0).flush_gather,
+        "a volatile run must not wait out the gather: grant published at \
+         {grant_acked:?}, write retired at {write_retired:?}"
+    );
+}
+
+/// The same window, but replica 0's machine crashes while the write's
+/// flush is held: neither the write nor the grant sealed behind it is
+/// ever acknowledged, and a reboot over the surviving platter recovers
+/// exactly the pre-window state.
+#[test]
+fn crash_before_the_writes_flush_never_acknowledges_the_grant_behind_it() {
+    let (mut sim, net, out) = write_then_grant(0x6A1E, Some(GRANT_DELAY * 2));
+    assert_eq!(
+        out.write_acked, None,
+        "the held write must not be acknowledged"
+    );
+    assert_eq!(
+        out.grant_acked, None,
+        "the grant behind it must not be acknowledged"
+    );
+    assert_eq!(
+        out.seals.last().map(|&(_, durable)| durable),
+        Some(false),
+        "the grant was sealed before the crash"
+    );
+    let col = out.column;
+    sim.revive_node(col.node);
+    let disk = DiskServer::start(&sim, col.node, col.vdisk.clone(), DiskParams::instant());
+    let partition = RawPartition::new(disk, 0, TABLE_BLOCKS);
+    let cfg = ServiceConfig::new(3, 0);
+    let rpc = RpcNode::start(&sim, col.node, net.attach());
+    let bullet = BulletClient::new(RpcClient::new(&rpc), cfg.bullet_port(0));
+    let probe = DirectoryStateMachine::standalone(
+        cfg,
+        DirParams {
+            flush_window: 4,
+            ..DirParams::default()
+        },
+        bullet,
+        partition,
+        None,
+        None,
+        Resource::new(sim.handle(), "probe-cpu"),
+    );
+    let recovered = sim.spawn("reboot", move |ctx| {
+        probe.boot(ctx);
+        probe.update_seq()
+    });
+    sim.run_for(Duration::from_secs(20));
+    assert_eq!(
+        recovered.take(),
+        Some(out.base_seq),
+        "a reboot must expose no state of the unflushed window"
+    );
 }
